@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json lint fuzz server-smoke repl-smoke
+.PHONY: check build vet test race bench bench-json bench-scan lint fuzz server-smoke repl-smoke
 
 check: build vet race
 
@@ -37,6 +37,15 @@ bench:
 bench-json:
 	$(GO) test -run xxx -bench '$(BENCH)' -benchmem -json . > BENCH_ci.json
 	@tail -n 3 BENCH_ci.json
+
+# bench-scan appends one end-to-end run of the repository benchmark's
+# scan workload (perfbench; metrics and bounds in BENCHMARK.json) to
+# BENCH_ci.json as one JSON line, so the per-commit artifact carries the
+# read operators' ops_per_s next to the library benchmarks. Run it after
+# bench-json, which rewrites the file.
+bench-scan:
+	@out="$$(bash perfbench/run.sh --workload scan --seed 1 --seconds 10 --trace 0)" && \
+	echo "$$out" && echo "$$out" >> BENCH_ci.json
 
 # Formatting + static analysis. staticcheck is optional locally (the CI
 # lint job installs it); gofmt and vet always run.

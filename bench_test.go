@@ -61,7 +61,7 @@ type fixture struct {
 	up   *core.Store
 }
 
-func getFixture(b *testing.B, sf float64) *fixture {
+func getFixture(b testing.TB, sf float64) *fixture {
 	b.Helper()
 	fixMu.Lock()
 	defer fixMu.Unlock()

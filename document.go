@@ -404,17 +404,20 @@ func (d *Document) Checkpoint() error {
 // tail has outgrown the policy. Called after every commit; the
 // non-blocking send coalesces bursts.
 func (d *Document) maybeAutoCheckpoint() {
-	if d.autoC == nil {
-		return
-	}
-	bytes, records := d.log.TailStatsAbove(d.lastCkptLSN.Load())
-	if !d.db.opts.CheckpointEvery.exceeded(bytes, records) {
+	if d.autoC == nil || !d.checkpointDue() {
 		return
 	}
 	select {
 	case d.autoC <- struct{}{}:
 	default:
 	}
+}
+
+// checkpointDue reports whether the WAL tail beyond the last checkpoint
+// has outgrown the auto policy.
+func (d *Document) checkpointDue() bool {
+	bytes, records := d.log.TailStatsAbove(d.lastCkptLSN.Load())
+	return d.db.opts.CheckpointEvery.exceeded(bytes, records)
 }
 
 // close shuts the document's durability machinery down in dependency
@@ -452,6 +455,12 @@ func (d *Document) autoCheckpointLoop() {
 		case <-d.stopC:
 			return
 		case <-d.autoC:
+			// A commit landing while a checkpoint runs still measures
+			// against the old baseline and nudges; the checkpoint that
+			// just finished may already cover its records.
+			if !d.checkpointDue() {
+				continue
+			}
 			if err := d.Checkpoint(); err != nil {
 				fmt.Fprintf(os.Stderr, "mxq: auto-checkpoint of %q: %v\n", d.name, err)
 			}

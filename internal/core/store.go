@@ -608,6 +608,14 @@ func (s *Store) Kind(p xenc.Pre) xenc.Kind { return xenc.Kind(s.kindAt(s.physOf(
 // Name returns the interned name id at p.
 func (s *Store) Name(p xenc.Pre) int32 { return s.nameAt(s.physOf(p)) }
 
+// PageRun returns the columns of the physical page behind p's logical
+// page, from p to the page end.
+func (s *Store) PageRun(p xenc.Pre) xenc.Run {
+	pg := s.pages[s.logToPhys[p>>s.pageBits]]
+	o := p & s.pageMask
+	return xenc.Run{Size: pg.size[o:], Level: pg.level[o:], Kind: pg.kind[o:], Name: pg.name[o:]}
+}
+
 // Value returns the text content at p.
 func (s *Store) Value(p xenc.Pre) string { return s.textAt(s.physOf(p)) }
 

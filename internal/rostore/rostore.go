@@ -90,6 +90,11 @@ func (s *Store) Kind(p xenc.Pre) xenc.Kind { return xenc.Kind(s.kind[p]) }
 // Name returns the interned name id at p.
 func (s *Store) Name(p xenc.Pre) int32 { return s.name[p] }
 
+// PageRun returns the dense columns from p to the end of the plane.
+func (s *Store) PageRun(p xenc.Pre) xenc.Run {
+	return xenc.Run{Size: s.size[p:], Level: s.level[p:], Kind: s.kind[p:], Name: s.name[p:]}
+}
+
 // Value returns the text content at p.
 func (s *Store) Value(p xenc.Pre) string { return s.text[p] }
 

@@ -14,6 +14,17 @@
 //   - free-space skipping: unused tuples are hopped over in O(1) per run
 //     using the free-run lengths in their size column.
 //
+// The forward scans (child, descendant, following and their siblings,
+// preceding, and the whole-plane scan All behind the document node's
+// descendant axes) run column-at-a-time, as MonetDB's staircase join
+// loops over contiguous level/size columns: they fetch one run of the
+// plane per call to xenc.DocView.PageRun and match a node test on the
+// raw level/kind/name values of the run. The run contract is that any
+// run length is valid and a hop may overshoot a run's end, so every scan
+// resumes at the absolute pre rank it reached (start+i), never at the
+// run's end. Only the backward walks (parent, ancestor) read single
+// tuples.
+//
 // The operators are *sequence-at-a-time*: every axis takes the whole
 // context sequence and returns the whole result sequence, which is what
 // lets the pruning fire at all — a caller that loops over single-node
@@ -24,7 +35,8 @@
 // already merged — callers never sort or dedupe behind these operators.
 // EvalAxis dispatches a sequence over any of the eleven tree axes; Scan
 // enumerates a forward axis from a single context node with early exit
-// (the hook positional predicates fuse into). The twelfth XPath axis
+// (the hook positional predicates fuse into); All is the descendant axis
+// of the virtual document node, every live tuple. The twelfth XPath axis
 // (attribute) reads the side table, not the pre/size/level plane, and
 // lives in the xpath layer.
 package staircase
@@ -95,52 +107,24 @@ func EvalAxis(v xenc.DocView, ctx []xenc.Pre, ax Axis, t Test) []xenc.Pre {
 // descendant-or-self, following-sibling, following; reverse axes
 // enumerate against document order and are not scannable this way.
 func Scan(v xenc.DocView, c xenc.Pre, ax Axis, t Test, fn func(xenc.Pre) bool) {
-	n := v.Len()
 	switch ax {
 	case AxisSelf:
 		if t.Matches(v, c) {
 			fn(c)
 		}
 	case AxisChild:
-		lvl := v.Level(c)
-		for p := xenc.SkipFree(v, c+1); p < n && v.Level(p) > lvl; p = xenc.SkipFree(v, p+v.Size(p)+1) {
-			if v.Level(p) == lvl+1 && t.Matches(v, p) && !fn(p) {
-				return
-			}
-		}
+		hop(v, c+1, v.Len(), v.Level(c)+1, t, fn)
 	case AxisDescendant, AxisDescendantOrSelf:
 		if ax == AxisDescendantOrSelf && t.Matches(v, c) && !fn(c) {
 			return
 		}
-		remaining := v.Size(c)
-		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
-				break
-			}
-			if t.Matches(v, p) && !fn(p) {
-				return
-			}
-			remaining--
-		}
+		descend(v, c, t, fn)
 	case AxisFollowingSibling:
-		lvl := v.Level(c)
-		if lvl == 0 {
-			return
-		}
-		for p := xenc.SkipFree(v, c+v.Size(c)+1); p < n && v.Level(p) >= lvl; p = xenc.SkipFree(v, p+v.Size(p)+1) {
-			if v.Level(p) == lvl && t.Matches(v, p) && !fn(p) {
-				return
-			}
+		if lvl := v.Level(c); lvl > 0 {
+			hop(v, c+v.Size(c)+1, v.Len(), lvl, t, fn)
 		}
 	case AxisFollowing:
-		for p := xenc.SkipFree(v, regionEnd(v, c)+1); p < n; p = xenc.SkipFree(v, p+1) {
-			if t.Matches(v, p) && !fn(p) {
-				return
-			}
-		}
+		forward(v, regionEnd(v, c)+1, v.Len(), t, fn)
 	}
 }
 
@@ -169,17 +153,21 @@ func PITest(target int32) Test {
 	return Test{kindSet: true, kind: xenc.KindPI, name: target}
 }
 
+// NoMatch matches no node (a name test for a name the document never
+// interned).
+func NoMatch() Test { return Element(noName) }
+
+// noName is a name id no store hands out.
+const noName int32 = -2
+
 // Matches reports whether the used tuple at p satisfies the test.
 func (t Test) Matches(v xenc.DocView, p xenc.Pre) bool {
-	if t.kindSet {
-		if v.Kind(p) != t.kind {
-			return false
-		}
-		if t.name != xenc.NoName && v.Name(p) != t.name {
-			return false
-		}
-	}
-	return true
+	return !t.kindSet || v.Kind(p) == t.kind && (t.name == xenc.NoName || v.Name(p) == t.name)
+}
+
+// match is Matches on raw kind/name column values.
+func (t Test) match(kind uint8, name int32) bool {
+	return !t.kindSet || xenc.Kind(kind) == t.kind && (t.name == xenc.NoName || name == t.name)
 }
 
 // Self filters the context sequence by the test.
@@ -198,92 +186,48 @@ func Self(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // pruned (the staircase "pruning"), so the scan touches every result
 // region exactly once.
 func Descendant(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
+	return descendants(v, ctx, t, false)
+}
+
+// DescendantOrSelf is Descendant plus the matching context nodes.
+func DescendantOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
+	return descendants(v, ctx, t, true)
+}
+
+func descendants(v xenc.DocView, ctx []xenc.Pre, t Test, self bool) []xenc.Pre {
+	var r results
 	high := xenc.Pre(-1) // last pre already covered by a scanned region
 	for _, c := range ctx {
 		if c <= high {
 			continue // pruned: c lies inside a region scanned before
 		}
-		remaining := v.Size(c)
-		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
-				break // corrupt size would spin; defend
-			}
-			if t.Matches(v, p) {
-				out = append(out, p)
-			}
-			remaining--
+		if self && t.Matches(v, c) {
+			r.emit(c)
 		}
-		if p > high {
-			high = p
-		}
+		high = descend(v, c, t, r.emit)
 	}
-	return out
+	return r.out
 }
 
-// DescendantOrSelf is Descendant plus the matching context nodes.
-func DescendantOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
-	high := xenc.Pre(-1)
-	for _, c := range ctx {
-		if c <= high {
-			continue
-		}
-		if t.Matches(v, c) {
-			out = append(out, c)
-		}
-		remaining := v.Size(c)
-		lvl := v.Level(c)
-		p := c
-		for remaining > 0 {
-			p = xenc.SkipFree(v, p+1)
-			if v.Level(p) <= lvl {
-				break
-			}
-			if t.Matches(v, p) {
-				out = append(out, p)
-			}
-			remaining--
-		}
-		if p > high {
-			high = p
-		}
-	}
-	return out
+// All returns every live tuple matching the test, in document order: the
+// descendant axis of the virtual document node, one scan of the whole
+// plane.
+func All(v xenc.DocView, t Test) []xenc.Pre {
+	var r results
+	forward(v, 0, v.Len(), t, r.emit)
+	return r.out
 }
 
 // Child returns the matching children of the context sequence, hopping
 // from sibling to sibling with pre += size+1 ("finding all children of a
 // node works by checking the first child and skipping to its siblings").
-// With free space interleaved a hop may land inside the previous child's
-// region; the level test detects that and the hop continues from there,
-// so each extra hole costs at most one extra hop.
 func Child(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
-	sorted := true
-	last := xenc.Pre(-1)
+	var r results
 	n := v.Len()
 	for _, c := range ctx {
-		lvl := v.Level(c)
-		p := xenc.SkipFree(v, c+1)
-		for p < n && v.Level(p) > lvl {
-			if v.Level(p) == lvl+1 && t.Matches(v, p) {
-				if p < last {
-					sorted = false
-				}
-				last = p
-				out = append(out, p)
-			}
-			p = xenc.SkipFree(v, p+v.Size(p)+1)
-		}
+		hop(v, c+1, n, v.Level(c)+1, t, r.emit)
 	}
-	if !sorted {
-		sortPres(out)
-	}
-	return out
+	return r.merged()
 }
 
 // Parent returns the distinct parents of the context sequence. Runs of
@@ -291,10 +235,8 @@ func Child(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // collapsed during the walk; the merge sort only fires when parents of
 // later context nodes actually land out of order (cousin sequences).
 func Parent(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
+	var r results
 	lastPar := xenc.NoPre
-	sorted := true
-	last := xenc.Pre(-1)
 	for _, c := range ctx {
 		p := parentOf(v, c)
 		if p == lastPar {
@@ -302,18 +244,10 @@ func Parent(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 		}
 		lastPar = p
 		if p != xenc.NoPre && t.Matches(v, p) {
-			if p <= last {
-				sorted = false
-			}
-			last = p
-			out = append(out, p)
+			r.emit(p)
 		}
 	}
-	if !sorted {
-		sortPres(out)
-		out = dedupe(out)
-	}
-	return out
+	return r.merged()
 }
 
 // Ancestor returns the distinct ancestors of the context sequence.
@@ -349,10 +283,8 @@ func AncestorOrSelf(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 // sibling of the first — its results are a suffix of what was already
 // emitted — so it is skipped without touching a tuple.
 func FollowingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
+	var r results
 	n := v.Len()
-	sorted := true
-	last := xenc.Pre(-1)
 	runHigh := xenc.Pre(-1) // last pre examined by the previous sibling scan
 	runLvl := xenc.Level(-2)
 	for _, c := range ctx {
@@ -363,54 +295,20 @@ func FollowingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 		if c <= runHigh && lvl == runLvl {
 			continue // pruned: c is a sibling inside the run scanned before
 		}
-		p := xenc.SkipFree(v, c+v.Size(c)+1)
-		for p < n && v.Level(p) >= lvl {
-			if v.Level(p) == lvl && t.Matches(v, p) {
-				if p <= last {
-					sorted = false
-				}
-				last = p
-				out = append(out, p)
-			}
-			p = xenc.SkipFree(v, p+v.Size(p)+1)
-		}
-		runHigh, runLvl = p-1, lvl
+		runHigh, runLvl = hop(v, c+v.Size(c)+1, n, lvl, t, r.emit)-1, lvl
 	}
-	if !sorted {
-		sortPres(out)
-		out = dedupe(out)
-	}
-	return out
+	return r.merged()
 }
 
 // PrecedingSibling returns the matching preceding siblings.
 func PrecedingSibling(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
-	var out []xenc.Pre
-	sorted := true
-	last := xenc.Pre(-1)
+	var r results
 	for _, c := range ctx {
-		par := parentOf(v, c)
-		if par == xenc.NoPre {
-			continue
-		}
-		lvl := v.Level(c)
-		p := xenc.SkipFree(v, par+1)
-		for p < c {
-			if v.Level(p) == lvl && t.Matches(v, p) {
-				if p <= last {
-					sorted = false
-				}
-				last = p
-				out = append(out, p)
-			}
-			p = xenc.SkipFree(v, p+v.Size(p)+1)
+		if par := parentOf(v, c); par != xenc.NoPre {
+			hop(v, par+1, c, v.Level(c), t, r.emit)
 		}
 	}
-	if !sorted {
-		sortPres(out)
-		out = dedupe(out)
-	}
-	return out
+	return r.merged()
 }
 
 // Following returns everything after the context regions. The staircase
@@ -429,14 +327,9 @@ func Following(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 			minEnd = end
 		}
 	}
-	var out []xenc.Pre
-	n := v.Len()
-	for p := xenc.SkipFree(v, minEnd+1); p < n; p = xenc.SkipFree(v, p+1) {
-		if t.Matches(v, p) {
-			out = append(out, p)
-		}
-	}
-	return out
+	var r results
+	forward(v, minEnd+1, v.Len(), t, r.emit)
+	return r.out
 }
 
 // Preceding returns everything before the context nodes except their
@@ -447,17 +340,102 @@ func Preceding(v xenc.DocView, ctx []xenc.Pre, t Test) []xenc.Pre {
 		return nil
 	}
 	c := ctx[len(ctx)-1]
-	anc := make(map[xenc.Pre]bool)
+	var anc []xenc.Pre // c's ancestors, nearest first
 	for p := parentOf(v, c); p != xenc.NoPre; p = parentOf(v, p) {
-		anc[p] = true
+		anc = append(anc, p)
 	}
-	var out []xenc.Pre
-	for p := xenc.SkipFree(v, 0); p < c; p = xenc.SkipFree(v, p+1) {
-		if !anc[p] && t.Matches(v, p) {
-			out = append(out, p)
+	var r results
+	forward(v, 0, c, t, func(p xenc.Pre) bool {
+		// The scan passes the ancestors in document order, farthest first.
+		for len(anc) > 0 && anc[len(anc)-1] < p {
+			anc = anc[:len(anc)-1]
 		}
+		if len(anc) == 0 || anc[len(anc)-1] != p {
+			r.emit(p)
+		}
+		return true
+	})
+	return r.out
+}
+
+// forward calls fn on every live tuple in [p, end) that matches the test,
+// in document order, until fn returns false.
+func forward(v xenc.DocView, p, end xenc.Pre, t Test, fn func(xenc.Pre) bool) {
+	for p < end {
+		r := v.PageRun(p)
+		n := min(xenc.Pre(len(r.Level)), end-p)
+		i := xenc.Pre(0)
+		for i < n {
+			if r.Level[i] == xenc.LevelUnused {
+				i += r.Size[i] + 1
+				continue
+			}
+			if t.match(r.Kind[i], r.Name[i]) && !fn(p+i) {
+				return
+			}
+			i++
+		}
+		p += i
 	}
-	return out
+}
+
+// descend calls fn on c's matching descendants in document order until fn
+// returns false: the size(c) live tuples after c, free runs skipped. It
+// returns the last pre rank it scanned (c's region end after a full scan).
+func descend(v xenc.DocView, c xenc.Pre, t Test, fn func(xenc.Pre) bool) xenc.Pre {
+	remaining := v.Size(c)
+	lvl := v.Level(c)
+	last := c
+	for p, n := c+1, v.Len(); remaining > 0 && p < n; {
+		r := v.PageRun(p)
+		i := xenc.Pre(0)
+		for i < xenc.Pre(len(r.Level)) && remaining > 0 {
+			l := r.Level[i]
+			if l == xenc.LevelUnused {
+				i += r.Size[i] + 1
+				continue
+			}
+			if l <= lvl {
+				return last // corrupt size would spin; defend
+			}
+			last = p + i
+			remaining--
+			if t.match(r.Kind[i], r.Name[i]) && !fn(last) {
+				return last
+			}
+			i++
+		}
+		p += i
+	}
+	return last
+}
+
+// hop calls fn on the matching tuples at level lvl in [p, end) until fn
+// returns false, moving from each tuple to the next with pre += size+1 —
+// which skips a live node's descendants and a free run alike — and
+// stopping at the first live tuple above level lvl. It returns the pre
+// rank it stopped at. With free space interleaved a hop may land inside
+// the previous node's region; the deeper tuple found there hops on in
+// turn, so each extra hole costs at most one extra hop.
+func hop(v xenc.DocView, p, end xenc.Pre, lvl xenc.Level, t Test, fn func(xenc.Pre) bool) xenc.Pre {
+	for p < end {
+		r := v.PageRun(p)
+		n := min(xenc.Pre(len(r.Level)), end-p)
+		i := xenc.Pre(0)
+		for i < n {
+			if l := r.Level[i]; l != xenc.LevelUnused {
+				if l < lvl {
+					return p + i
+				}
+				if l == lvl && t.match(r.Kind[i], r.Name[i]) && !fn(p+i) {
+					return p + i
+				}
+			}
+			i += r.Size[i] + 1
+		}
+		p += i
+	}
+	return p
 }
 
 // parentOf finds the parent by the backward level scan: the nearest
@@ -477,17 +455,35 @@ func parentOf(v xenc.DocView, c xenc.Pre) xenc.Pre {
 }
 
 // regionEnd returns the pre rank of the last live tuple in c's region (c
-// itself for leaves).
+// itself for leaves): a descend whose test matches nothing.
 func regionEnd(v xenc.DocView, c xenc.Pre) xenc.Pre {
-	remaining := v.Size(c)
-	last := c
-	p := c
-	for remaining > 0 {
-		p = xenc.SkipFree(v, p+1)
-		last = p
-		remaining--
+	return descend(v, c, NoMatch(), nil)
+}
+
+// results collects an operator's output. A single scan emits ascending
+// pre ranks; when the scans of different context nodes interleave
+// (cousin contexts), merged sorts and dedupes once at the end.
+type results struct {
+	out      []xenc.Pre
+	unsorted bool
+}
+
+// emit appends p; it always continues the scan.
+func (r *results) emit(p xenc.Pre) bool {
+	if n := len(r.out); n > 0 && p <= r.out[n-1] {
+		r.unsorted = true
 	}
-	return last
+	r.out = append(r.out, p)
+	return true
+}
+
+// merged returns the output in document order without duplicates.
+func (r *results) merged() []xenc.Pre {
+	if r.unsorted {
+		sortPres(r.out)
+		r.out = dedupe(r.out)
+	}
+	return r.out
 }
 
 func sortPres(s []xenc.Pre) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mxq/internal/core"
+	"mxq/internal/naive"
 	"mxq/internal/rostore"
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
@@ -356,6 +357,196 @@ func TestEmptyContext(t *testing.T) {
 	for name, fn := range axisFuncs {
 		if got := fn(s, nil, AnyNode()); len(got) != 0 {
 			t.Errorf("%s(nil) = %v", name, got)
+		}
+	}
+}
+
+// unitRuns forwards a view but hands out 1-tuple page runs, the shortest
+// the run contract allows: every free-run hop overshoots its run.
+type unitRuns struct{ xenc.DocView }
+
+func (u unitRuns) PageRun(p xenc.Pre) xenc.Run {
+	r := u.DocView.PageRun(p)
+	return xenc.Run{Size: r.Size[:1], Level: r.Level[:1], Kind: r.Kind[:1], Name: r.Name[:1]}
+}
+
+// randomTree builds a random document over the element names e0..e2 and
+// leaf, with text nodes mixed in.
+func randomTree(rng *rand.Rand, nodes int) *shred.Tree {
+	b := shred.NewBuilder()
+	b.Start("root")
+	depth := 1
+	for i := 0; i < nodes; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			b.Start(fmt.Sprintf("e%d", rng.Intn(3)))
+			depth++
+		case 1:
+			b.Text("t")
+		default:
+			if depth > 1 {
+				b.End()
+				depth--
+			} else {
+				b.Elem("leaf", "")
+			}
+		}
+	}
+	for depth > 0 {
+		b.End()
+		depth--
+	}
+	return b.Tree()
+}
+
+// liveRanks lists a view's live tuples in document order: index k holds
+// the pre rank of the k-th live node, the same node in every view of one
+// document.
+func liveRanks(v xenc.DocView) []xenc.Pre {
+	var pres []xenc.Pre
+	for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
+		pres = append(pres, p)
+	}
+	return pres
+}
+
+// TestRunBoundariesDifferential runs every axis, Scan and the whole-plane
+// scan over three views of one document — a paged store whose pages end
+// in free runs, the same store behind 1-tuple runs, and the dense naive
+// store — with random ascending contexts and several node tests, and
+// requires the same nodes from all three, and from the dense view the
+// nodes the plain-tree oracle selects. A second round repeats it after
+// identical deletes punch holes inside pages.
+func TestRunBoundariesDifferential(t *testing.T) {
+	layouts := []core.Options{{PageSize: 8, FillFactor: 0.5}, {PageSize: 8, FillFactor: 0.75}, {PageSize: 16, FillFactor: 0.6}}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tree := randomTree(rng, 60+rng.Intn(60))
+		paged, err := core.Build(tree, layouts[seed%int64(len(layouts))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := naive.Build(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				for i := 0; i < 4; i++ {
+					live := liveRanks(dense)
+					k := 1 + rng.Intn(len(live)-1) // never the root
+					if err := paged.Delete(liveRanks(paged)[k]); err != nil {
+						t.Fatal(err)
+					}
+					if err := dense.Delete(live[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			diffViews(t, rng, fmt.Sprintf("seed %d round %d", seed, round),
+				[]xenc.DocView{dense, paged, unitRuns{paged}})
+		}
+	}
+}
+
+func diffViews(t *testing.T, rng *rand.Rand, label string, views []xenc.DocView) {
+	t.Helper()
+	ranks := make([]map[xenc.Pre]int, len(views))
+	lives := make([][]xenc.Pre, len(views))
+	for i, v := range views {
+		lives[i] = liveRanks(v)
+		ranks[i] = make(map[xenc.Pre]int, len(lives[i]))
+		for k, p := range lives[i] {
+			ranks[i][p] = k
+		}
+		if len(lives[i]) != len(lives[0]) {
+			t.Fatalf("%s: view %d has %d live nodes, view 0 has %d", label, i, len(lives[i]), len(lives[0]))
+		}
+	}
+	// toRanks maps view i's result to document-order node numbers.
+	toRanks := func(i int, pres []xenc.Pre) []int {
+		out := []int{}
+		for _, p := range pres {
+			k, ok := ranks[i][p]
+			if !ok {
+				t.Fatalf("%s: view %d returned unused tuple %d", label, i, p)
+			}
+			out = append(out, k)
+		}
+		return out
+	}
+	tests := map[string]func(v xenc.DocView) Test{
+		"node()":  func(xenc.DocView) Test { return AnyNode() },
+		"*":       func(xenc.DocView) Test { return Element(xenc.NoName) },
+		"text()":  func(xenc.DocView) Test { return KindTest(xenc.KindText) },
+		"nothing": func(xenc.DocView) Test { return NoMatch() },
+		"e1": func(v xenc.DocView) Test {
+			if id, ok := v.Names().Lookup("e1"); ok {
+				return Element(id)
+			}
+			return NoMatch()
+		},
+	}
+	var ctxs [][]int
+	for i := 0; i < 20; i++ {
+		set := map[int]bool{}
+		for j := 1 + rng.Intn(6); j > 0; j-- {
+			set[rng.Intn(len(lives[0]))] = true
+		}
+		var ctx []int
+		for k := range set {
+			ctx = append(ctx, k)
+		}
+		sort.Ints(ctx)
+		ctxs = append(ctxs, ctx)
+	}
+	oracle := newOracle(views[0])
+	same := func(what string, eval func(i int, v xenc.DocView) []xenc.Pre) {
+		want := toRanks(0, eval(0, views[0]))
+		for i := 1; i < len(views); i++ {
+			if got := toRanks(i, eval(i, views[i])); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s: view %d = %v, view 0 = %v", label, what, i, got, want)
+			}
+		}
+	}
+	for tname, mk := range tests {
+		same("All "+tname, func(_ int, v xenc.DocView) []xenc.Pre { return All(v, mk(v)) })
+		for _, ctx := range ctxs {
+			pres := func(i int) []xenc.Pre {
+				out := make([]xenc.Pre, len(ctx))
+				for j, k := range ctx {
+					out[j] = lives[i][k]
+				}
+				return out
+			}
+			for name, ax := range axisIDs {
+				what := fmt.Sprintf("%s::%s from %v", name, tname, ctx)
+				same(what, func(i int, v xenc.DocView) []xenc.Pre {
+					return EvalAxis(v, pres(i), ax, mk(v))
+				})
+				// The dense view also answers to the plain-tree oracle.
+				var want []xenc.Pre
+				for _, p := range oracle.axis(name, pres(0)) {
+					if mk(views[0]).Matches(views[0], p) {
+						want = append(want, p)
+					}
+				}
+				if got := EvalAxis(views[0], pres(0), ax, mk(views[0])); !reflect.DeepEqual(toRanks(0, got), toRanks(0, want)) {
+					t.Fatalf("%s: %s = %v, oracle %v", label, what, got, want)
+				}
+			}
+			for _, name := range forwardScanAxes {
+				for k := 1; k <= 3; k++ {
+					same(fmt.Sprintf("Scan %s::%s from %d, first %d", name, tname, ctx[0], k), func(i int, v xenc.DocView) []xenc.Pre {
+						var out []xenc.Pre
+						Scan(v, pres(i)[0], axisIDs[name], mk(v), func(p xenc.Pre) bool {
+							out = append(out, p)
+							return len(out) < k
+						})
+						return out
+					})
+				}
+			}
 		}
 	}
 }

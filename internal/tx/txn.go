@@ -49,6 +49,9 @@ func (t *Tx) Kind(p xenc.Pre) xenc.Kind { return t.clone.Kind(p) }
 // Name returns the interned name id at p.
 func (t *Tx) Name(p xenc.Pre) int32 { return t.clone.Name(p) }
 
+// PageRun returns the columns of a run of the transaction image at p.
+func (t *Tx) PageRun(p xenc.Pre) xenc.Run { return t.clone.PageRun(p) }
+
 // Value returns the text content at p.
 func (t *Tx) Value(p xenc.Pre) string { return t.clone.Value(p) }
 

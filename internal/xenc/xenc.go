@@ -17,6 +17,11 @@
 //     Level() == LevelUnused; their Size() is the number of directly
 //     following consecutive unused tuples within the same logical page, so
 //     scans can skip over free space in O(1) per run.
+//
+// Scans read the plane column-at-a-time: DocView.PageRun hands out the
+// size/level/kind/name slices of a stretch of consecutive pre ranks, and
+// an operator loops over the raw slices instead of paying one accessor
+// call per column per tuple.
 package xenc
 
 import "fmt"
@@ -85,6 +90,18 @@ func (k Kind) String() string {
 // Valid reports whether k is a defined node kind.
 func (k Kind) Valid() bool { return k < kindSentinel }
 
+// Run is a stretch of consecutive pre ranks handed out column-at-a-time
+// by DocView.PageRun(p): Size[i], Level[i], Kind[i] and Name[i] describe
+// the tuple at pre rank p+i, with the meaning of the per-tuple accessors
+// (Kind holds Kind values). All four slices have the same length, at
+// least 1. The slices alias the store and must not be modified.
+type Run struct {
+	Size  []Size
+	Level []Level
+	Kind  []uint8
+	Name  []int32
+}
+
 // Attr is one attribute of an element: an interned name and its value.
 type Attr struct {
 	Name int32  // qname id in the document's QNamePool
@@ -114,6 +131,15 @@ type DocView interface {
 	Kind(p Pre) Kind
 	// Name returns the interned qualified-name id at p, or NoName.
 	Name(p Pre) int32
+	// PageRun returns the columns of a run of consecutive tuples that
+	// starts at p (0 <= p < Len()) and stays inside p's logical page: a
+	// paged store returns the rest of the physical page behind it, a
+	// store without pages the rest of its dense columns. Any length >= 1
+	// is valid, so scans must not rely on run lengths: a free run's size
+	// counts the unused tuples up to its page end, and a hop at offset i
+	// may land past the returned run — the scan resumes at p+i, never at
+	// p+len.
+	PageRun(p Pre) Run
 	// Value returns the textual content for text/comment/PI nodes ("" for
 	// elements).
 	Value(p Pre) string

@@ -9,12 +9,15 @@ type fakeView struct {
 	level []Level
 }
 
-func (f *fakeView) Len() Pre                            { return int32(len(f.size)) }
-func (f *fakeView) LiveNodes() int                      { return 0 }
-func (f *fakeView) Size(p Pre) Size                     { return f.size[p] }
-func (f *fakeView) Level(p Pre) Level                   { return f.level[p] }
-func (f *fakeView) Kind(Pre) Kind                       { return KindElem }
-func (f *fakeView) Name(Pre) int32                      { return NoName }
+func (f *fakeView) Len() Pre          { return int32(len(f.size)) }
+func (f *fakeView) LiveNodes() int    { return 0 }
+func (f *fakeView) Size(p Pre) Size   { return f.size[p] }
+func (f *fakeView) Level(p Pre) Level { return f.level[p] }
+func (f *fakeView) Kind(Pre) Kind     { return KindElem }
+func (f *fakeView) Name(Pre) int32    { return NoName }
+func (f *fakeView) PageRun(p Pre) Run {
+	return Run{Size: f.size[p : p+1], Level: f.level[p : p+1], Kind: []uint8{uint8(KindElem)}, Name: []int32{NoName}}
+}
 func (f *fakeView) Value(Pre) string                    { return "" }
 func (f *fakeView) NodeOf(p Pre) NodeID                 { return p }
 func (f *fakeView) PreOf(n NodeID) Pre                  { return n }

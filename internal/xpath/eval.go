@@ -236,8 +236,9 @@ func applyStep(c *context, ctx NodeSet, st *step) (NodeSet, error) {
 	// predicate-free step needs neither the reversal nor the restoring
 	// sort.
 	reversed := st.axis.Reverse() && len(st.preds) > 0
+	test := resolveTest(c.view, st)
 	for _, node := range ctx {
-		cands := axisCandidates(c.view, node, st)
+		cands := axisCandidates(c.view, node, st, test)
 		if reversed {
 			for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
 				cands[i], cands[j] = cands[j], cands[i]
@@ -313,17 +314,16 @@ func filterNodesInPlace(c *context, ns NodeSet, pred expr) (NodeSet, error) {
 }
 
 // axisCandidates enumerates the axis from one context node, applying the
-// node test, in document order.
-func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
+// node test (resolved once per step evaluation), in document order.
+func axisCandidates(v xenc.DocView, n Node, st *step, test nodeTest) NodeSet {
 	// Attribute axis.
 	if st.axis == AxisAttribute {
 		if n.Attr != NoAttr || n.Pre == DocNodePre || v.Kind(n.Pre) != xenc.KindElem {
 			return nil
 		}
-		attrs := v.Attrs(n.Pre)
 		var out NodeSet
-		for i, a := range attrs {
-			if st.tk == testNode || (st.tk == testName && (st.name == "" || v.Names().Name(a.Name) == st.name)) {
+		for i, a := range v.Attrs(n.Pre) {
+			if attrMatch(test.attr, a.Name) {
 				out = append(out, Node{Pre: n.Pre, Attr: int32(i)})
 			}
 		}
@@ -338,16 +338,14 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 				return NodeSet{n}
 			}
 			return nil
-		case AxisParent, AxisAncestor, AxisAncestorOrSelf:
-			elem := ElemNode(n.Pre)
-			out := axisCandidates(v, elem, &step{axis: AxisAncestorOrSelf, tk: st.tk, name: st.name})
-			if st.axis == AxisParent {
-				// Only the owning element.
-				out = nil
-				if matchTreeTest(v, n.Pre, st) {
-					out = NodeSet{elem}
-				}
+		case AxisParent:
+			// Only the owning element.
+			if test.tree.Matches(v, n.Pre) {
+				return NodeSet{ElemNode(n.Pre)}
 			}
+			return nil
+		case AxisAncestor, AxisAncestorOrSelf:
+			out := axisCandidates(v, ElemNode(n.Pre), &step{axis: AxisAncestorOrSelf, tk: st.tk, name: st.name}, test)
 			if st.axis == AxisAncestorOrSelf && st.tk == testNode {
 				out = append(out, n)
 			}
@@ -359,42 +357,16 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 
 	// Axes from the document node.
 	if n.Pre == DocNodePre {
-		switch st.axis {
-		case AxisSelf:
-			if st.tk == testNode {
-				return NodeSet{n}
-			}
-			return nil
-		case AxisChild:
-			root := v.Root()
-			if matchTreeTest(v, root, st) {
-				return NodeSet{ElemNode(root)}
-			}
-			return nil
-		case AxisDescendant, AxisDescendantOrSelf:
-			var out NodeSet
-			if st.axis == AxisDescendantOrSelf && st.tk == testNode {
-				out = append(out, n)
-			}
-			for p := xenc.SkipFree(v, 0); p < v.Len(); p = xenc.SkipFree(v, p+1) {
-				if matchTreeTest(v, p, st) {
-					out = append(out, ElemNode(p))
-				}
-			}
-			return out
-		default:
-			return nil
+		out := nodesOf(docAxis(v, st.axis, test.tree))
+		if (st.axis == AxisSelf || st.axis == AxisDescendantOrSelf) && st.tk == testNode {
+			out = append(NodeSet{n}, out...)
 		}
+		return out
 	}
 
 	// Regular tree axes via staircase join (the same dispatcher the
 	// sequence pipeline uses, on a singleton context).
-	test := treeTest(v, st)
-	pres := staircase.EvalAxis(v, []xenc.Pre{n.Pre}, seqAxis(st.axis), test)
-	out := make(NodeSet, 0, len(pres))
-	for _, p := range pres {
-		out = append(out, ElemNode(p))
-	}
+	out := nodesOf(staircase.EvalAxis(v, []xenc.Pre{n.Pre}, seqAxis(st.axis), test.tree))
 	// The document node is an ancestor of everything.
 	switch st.axis {
 	case AxisParent:
@@ -407,6 +379,46 @@ func axisCandidates(v xenc.DocView, n Node, st *step) NodeSet {
 		}
 	}
 	return out
+}
+
+// docAxis evaluates a tree axis from the virtual document node, the
+// node itself excluded: its only child is the root element, its
+// descendants are every live tuple (one whole-plane scan), and every
+// other tree axis is empty.
+func docAxis(v xenc.DocView, ax Axis, t staircase.Test) []xenc.Pre {
+	switch ax {
+	case AxisChild:
+		if root := v.Root(); t.Matches(v, root) {
+			return []xenc.Pre{root}
+		}
+	case AxisDescendant, AxisDescendantOrSelf:
+		return staircase.All(v, t)
+	}
+	return nil
+}
+
+// nodesOf wraps tree-node pre ranks into a NodeSet.
+func nodesOf(pres []xenc.Pre) NodeSet {
+	out := make(NodeSet, len(pres))
+	for i, p := range pres {
+		out[i] = ElemNode(p)
+	}
+	return out
+}
+
+// nodeTest is a step's node test resolved against one view's name pool,
+// once per step evaluation and never per tuple (a cached id would go
+// stale: CompactDictionaries gives snapshots pools of their own).
+type nodeTest struct {
+	tree staircase.Test // the tree axes
+	attr int32          // the attribute axis, see attrTest
+}
+
+func resolveTest(v xenc.DocView, st *step) nodeTest {
+	if st.axis == AxisAttribute {
+		return nodeTest{attr: attrTest(v, st)}
+	}
+	return nodeTest{tree: treeTest(v, st)}
 }
 
 func treeTest(v xenc.DocView, st *step) staircase.Test {
@@ -424,7 +436,7 @@ func treeTest(v xenc.DocView, st *step) staircase.Test {
 		if id, ok := v.Names().Lookup(st.name); ok {
 			return staircase.PITest(id)
 		}
-		return staircase.PITest(-2) // never matches
+		return staircase.NoMatch()
 	default: // testName
 		if st.name == "" {
 			return staircase.Element(xenc.NoName)
@@ -432,12 +444,34 @@ func treeTest(v xenc.DocView, st *step) staircase.Test {
 		if id, ok := v.Names().Lookup(st.name); ok {
 			return staircase.Element(id)
 		}
-		return staircase.Element(-2) // name not in this document
+		return staircase.NoMatch() // name not in this document
 	}
 }
 
-func matchTreeTest(v xenc.DocView, p xenc.Pre, st *step) bool {
-	return treeTest(v, st).Matches(v, p)
+// noAttr is the resolved attribute test that matches no attribute.
+const noAttr int32 = -2
+
+// attrTest resolves the attribute axis' node test to an interned name
+// id: xenc.NoName matches every attribute (node(), @*), noAttr matches
+// none (a name missing from the view's pool, or a kind test).
+func attrTest(v xenc.DocView, st *step) int32 {
+	switch st.tk {
+	case testNode:
+		return xenc.NoName
+	case testName:
+		if st.name == "" {
+			return xenc.NoName
+		}
+		if id, ok := v.Names().Lookup(st.name); ok {
+			return id
+		}
+	}
+	return noAttr
+}
+
+// attrMatch applies a resolved attribute test to an attribute's name id.
+func attrMatch(test, name int32) bool {
+	return test == xenc.NoName || test == name
 }
 
 // --- function library -------------------------------------------------------

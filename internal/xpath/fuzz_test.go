@@ -83,7 +83,8 @@ func FuzzXPathParse(f *testing.F) {
 // FuzzXPathEval is the evaluation-side differential fuzzer: every query
 // that parses is evaluated three ways — through the compiled
 // sequence-at-a-time pipeline on the paged store (free tuples
-// interleaved), through the node-at-a-time interpreter on the same
+// interleaved; once over whole page runs and once over 1-tuple runs,
+// which must agree exactly), through the node-at-a-time interpreter on the same
 // store, and through the interpreter on the naive dense oracle — and all
 // three must agree on error-ness and, modulo physical pre ranks, on the
 // result. This crosses both dimensions at once: plan vs. interpreter
@@ -115,6 +116,15 @@ func FuzzXPathEval(f *testing.F) {
 		// fallback reruns the step per-node ($x is a number).
 		`//watch[$x]`, `//person[$x]/@id`, `//person[$who]/name`,
 		`//bidder[$x]/increase/text()`, `//person[watches/watch[$x]]`,
+		// Document-node scans over the paged plane: whole-plane
+		// descendant scans, the root child, name tests the document never
+		// interned, and the document node mixed into a longer context.
+		`/descendant::kw`, `/descendant-or-self::node()`, `/descendant-or-self::kw`,
+		`//*`, `//nope`, `//@*`, `//item/@nope`, `/*`, `/node()`, `/child::site/e`,
+		`/descendant::kw[2]`, `(/ | //desc)//kw`, `(/ | //people)/*`,
+		`//processing-instruction("tgt")`, `//kw/preceding::name`,
+		`//kw/following::*`, `//listitem/following-sibling::kw`,
+		`//kw/preceding-sibling::*`, `//desc/descendant-or-self::node()/kw`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -143,6 +153,11 @@ func FuzzXPathEval(f *testing.F) {
 			return
 		}
 		planned, errPlan := fuzzFingerprint(paged, expr, vars)
+		unit, errUnit := fuzzFingerprint(unitRuns{paged}, expr, vars)
+		if (errPlan == nil) != (errUnit == nil) || unit != planned {
+			t.Fatalf("%q: 1-tuple runs diverged from page runs\npages: %s %v\nunits: %s %v",
+				src, planned, errPlan, unit, errUnit)
+		}
 		prev := SetPlanEnabled(false)
 		perNode, errPer := fuzzFingerprint(paged, expr, vars)
 		dense, errNaive := fuzzFingerprint(oracle, expr, vars)
@@ -163,6 +178,15 @@ func FuzzXPathEval(f *testing.F) {
 				src, planned, dense)
 		}
 	})
+}
+
+// unitRuns forwards a view but hands out 1-tuple page runs, the shortest
+// the run contract allows.
+type unitRuns struct{ xenc.DocView }
+
+func (u unitRuns) PageRun(p xenc.Pre) xenc.Run {
+	r := u.DocView.PageRun(p)
+	return xenc.Run{Size: r.Size[:1], Level: r.Level[:1], Kind: r.Kind[:1], Name: r.Name[:1]}
 }
 
 // fuzzEvalDoc nests elements deeply (overlapping descendant regions, the

@@ -8,9 +8,12 @@ package xpath
 // paper's context pruning — a context node whose region was already
 // scanned is skipped, so no tuple is inspected twice — and returns
 // results already in document order, eliminating the per-step
-// sort/dedupe of the node-at-a-time path. The virtual document node and
-// attribute nodes (rare mid-path) are split off and routed through the
-// per-node evaluator, then merged back in document order.
+// sort/dedupe of the node-at-a-time path. The virtual document node
+// joins the sequence scan on the child and descendant axes (its
+// descendants are one whole-plane scan, which subsumes every other
+// context node's region); on other axes it, and attribute nodes (rare
+// mid-path), are split off and routed through the per-node evaluator,
+// then merged back in document order.
 
 import (
 	"errors"
@@ -96,11 +99,7 @@ func (sc seqCtx) nodeSet() NodeSet {
 	if !sc.pure {
 		return sc.nodes
 	}
-	out := make(NodeSet, len(sc.pres))
-	for i, p := range sc.pres {
-		out[i] = ElemNode(p)
-	}
-	return out
+	return nodesOf(sc.pres)
 }
 
 // run pipes the context sequence through every step.
@@ -150,15 +149,24 @@ func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 	if !sc.pure {
 		pres, special = splitContext(sc.nodes)
 	}
+	// The document node sorts first in any context it is part of. Its
+	// child and descendant axes join the sequence scan; under a fused
+	// positional counter it keeps the per-node route, which numbers its
+	// candidates on their own.
+	fromDoc := len(special) > 0 && special[0].Pre == DocNodePre && ps.kind == opSeq &&
+		(ps.st.axis == AxisChild || ps.st.axis == AxisDescendant || ps.st.axis == AxisDescendantOrSelf)
+	if fromDoc {
+		special = special[1:]
+	}
 	var out seqCtx
-	if len(pres) > 0 {
+	if len(pres) > 0 || fromDoc {
 		var err error
 		if ps.st.axis == AxisAttribute {
 			var ns NodeSet
 			ns, err = ps.attrSeq(c, pres)
 			out = seqCtx{nodes: ns}
 		} else {
-			out, err = ps.treeSeq(c, pres)
+			out, err = ps.treeSeq(c, pres, fromDoc)
 		}
 		if err != nil {
 			return seqCtx{}, err
@@ -167,8 +175,9 @@ func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 		out = seqCtx{pure: true}
 	}
 	if len(special) > 0 {
-		// The document node and attribute nodes go through the per-node
-		// evaluator (each is a singleton scan; no overlap to prune).
+		// Attribute nodes, and the document node on the remaining axes,
+		// go through the per-node evaluator (each is a singleton scan; no
+		// overlap to prune).
 		sp, err := applyStep(c, special, &ps.st)
 		if err != nil {
 			return seqCtx{}, err
@@ -178,17 +187,27 @@ func (ps *planStep) applySeq(c *context, sc seqCtx) (seqCtx, error) {
 	return out, nil
 }
 
-// treeSeq runs a tree axis over an ascending pre sequence. The result
-// stays in the pure pre representation unless the virtual document node
-// joins it (parent/ancestor axes under a node() test).
-func (ps *planStep) treeSeq(c *context, pres []xenc.Pre) (seqCtx, error) {
+// treeSeq runs a tree axis over an ascending pre sequence, preceded by
+// the document node when fromDoc is set (child and descendant axes only).
+// The result stays in the pure pre representation unless the virtual
+// document node joins it (parent/ancestor axes, or its own
+// descendant-or-self axis, under a node() test).
+func (ps *planStep) treeSeq(c *context, pres []xenc.Pre, fromDoc bool) (seqCtx, error) {
 	v := c.view
 	test := treeTest(v, &ps.st)
 	var cands []xenc.Pre
-	if ps.kind == opFusedPos {
+	switch {
+	case fromDoc && ps.st.axis != AxisChild:
+		// The whole plane covers every other context node's region.
+		cands = docAxis(v, ps.st.axis, test)
+	case ps.kind == opFusedPos:
 		cands = fusedPosScan(v, pres, ps.st.axis, test, ps.pos)
-	} else {
+	default:
 		cands = staircase.EvalAxis(v, pres, seqAxis(ps.st.axis), test)
+		if fromDoc {
+			// The root element precedes every other context node's child.
+			cands = append(docAxis(v, AxisChild, test), cands...)
+		}
 	}
 	// The document node is an ancestor of every tree node.
 	withDoc := false
@@ -198,6 +217,8 @@ func (ps *planStep) treeSeq(c *context, pres []xenc.Pre) (seqCtx, error) {
 			withDoc = hasRootContext(v, pres)
 		case AxisAncestor, AxisAncestorOrSelf:
 			withDoc = true
+		case AxisDescendantOrSelf:
+			withDoc = fromDoc
 		}
 	}
 	if !withDoc {
@@ -251,6 +272,7 @@ func filterPres(c *context, pres []xenc.Pre, pred expr, dyn bool) ([]xenc.Pre, e
 // document order — no sort, no dedupe.
 func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 	v := c.view
+	test := attrTest(v, &ps.st)
 	var out NodeSet
 	for _, p := range pres {
 		if v.Kind(p) != xenc.KindElem {
@@ -259,7 +281,7 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 		attrs := v.Attrs(p)
 		count := 0
 		for i := range attrs {
-			if !ps.attrMatches(v, attrs[i].Name) {
+			if !attrMatch(test, attrs[i].Name) {
 				continue
 			}
 			count++
@@ -274,17 +296,6 @@ func (ps *planStep) attrSeq(c *context, pres []xenc.Pre) (NodeSet, error) {
 		}
 	}
 	return ps.filterSeqPreds(c, out)
-}
-
-// attrMatches mirrors the attribute node test of the per-node path.
-func (ps *planStep) attrMatches(v xenc.DocView, name int32) bool {
-	switch ps.st.tk {
-	case testNode:
-		return true
-	case testName:
-		return ps.st.name == "" || v.Names().Name(name) == ps.st.name
-	}
-	return false
 }
 
 // filterSeqPreds applies the sequence-safe predicates, filtering in

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mxq/internal/chunkstore"
 	"mxq/internal/tx"
 	"mxq/internal/validate"
 )
@@ -504,5 +506,72 @@ func TestAutoCheckpointMeasuresBeyondLastCheckpoint(t *testing.T) {
 	}
 	if st.WALRecords >= 4 {
 		t.Fatalf("beyond-checkpoint tail = %d records, policy would re-trigger", st.WALRecords)
+	}
+}
+
+// heldChunks holds the first chunk Put of a checkpoint open until
+// released, signalling when it blocks.
+type heldChunks struct {
+	chunkstore.Store
+	once          *sync.Once
+	held, release chan struct{}
+}
+
+func (h *heldChunks) Put(hash chunkstore.Hash, data []byte) error {
+	h.once.Do(func() {
+		close(h.held)
+		<-h.release
+	})
+	return h.Store.Put(hash, data)
+}
+
+// TestAutoCheckpointNoStaleNudge holds an auto checkpoint open while a
+// commit lands. That commit still measures against the old baseline and
+// nudges the checkpointer again, but the running checkpoint already
+// covers all but one record when it finishes: exactly one checkpoint
+// may run.
+func TestAutoCheckpointNoStaleNudge(t *testing.T) {
+	db, err := Open(Options{
+		Dir: t.TempDir(), NoSync: true,
+		CheckpointEvery: CheckpointPolicy{Records: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("lib", libDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	doc.ckpter.SetChunkWrapper(func(cs chunkstore.Store) chunkstore.Store {
+		return &heldChunks{Store: cs, once: &once, held: held, release: release}
+	})
+	update := func() {
+		t.Helper()
+		if _, err := doc.Update(wrapMods(`<xupdate:append select="/lib/shelf"><book>n</book></xupdate:append>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		update() // the fourth commit reaches the policy and nudges
+	}
+	<-held // the auto checkpoint covering four records is mid-stream
+	update()
+	if len(doc.autoC) != 1 {
+		t.Fatal("the commit during the checkpoint did not nudge the checkpointer")
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(doc.autoC) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("auto-checkpointer never took the second nudge")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	doc.stopAuto() // waits out whatever the nudge started
+	if got := doc.Stats().Checkpoints; got != 1 {
+		t.Fatalf("checkpoints = %d, want 1: the stale nudge ran a checkpoint the records no longer needed", got)
 	}
 }

@@ -10,7 +10,6 @@ package mxq
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"mxq/internal/rostore"
@@ -20,26 +19,43 @@ import (
 )
 
 // countingView wraps a DocView and counts tuple inspections: every
-// pre-addressed accessor call the evaluator makes. The count is the
-// plan-quality metric the benchmark records — unlike wall time it is
-// deterministic and machine-independent.
+// pre-addressed accessor call the evaluator makes. Its PageRun hands out
+// 1-tuple runs, so a column-at-a-time scan still passes every tuple it
+// reads through one counted call. The count is the plan-quality metric
+// the benchmark records — unlike wall time it is deterministic and
+// machine-independent. One evaluation runs on one goroutine, so the
+// counter is a plain integer.
 type countingView struct {
 	xenc.DocView
-	n atomic.Int64
+	n int64
 }
 
-func (c *countingView) Size(p xenc.Pre) xenc.Size   { c.n.Add(1); return c.DocView.Size(p) }
-func (c *countingView) Level(p xenc.Pre) xenc.Level { c.n.Add(1); return c.DocView.Level(p) }
-func (c *countingView) Kind(p xenc.Pre) xenc.Kind   { c.n.Add(1); return c.DocView.Kind(p) }
-func (c *countingView) Name(p xenc.Pre) int32       { c.n.Add(1); return c.DocView.Name(p) }
-func (c *countingView) Value(p xenc.Pre) string     { c.n.Add(1); return c.DocView.Value(p) }
+func (c *countingView) Size(p xenc.Pre) xenc.Size   { c.n++; return c.DocView.Size(p) }
+func (c *countingView) Level(p xenc.Pre) xenc.Level { c.n++; return c.DocView.Level(p) }
+func (c *countingView) Kind(p xenc.Pre) xenc.Kind   { c.n++; return c.DocView.Kind(p) }
+func (c *countingView) Name(p xenc.Pre) int32       { c.n++; return c.DocView.Name(p) }
+func (c *countingView) Value(p xenc.Pre) string     { c.n++; return c.DocView.Value(p) }
 func (c *countingView) Attrs(p xenc.Pre) []xenc.Attr {
-	c.n.Add(1)
+	c.n++
 	return c.DocView.Attrs(p)
 }
 func (c *countingView) AttrValue(p xenc.Pre, name int32) (string, bool) {
-	c.n.Add(1)
+	c.n++
 	return c.DocView.AttrValue(p, name)
+}
+func (c *countingView) PageRun(p xenc.Pre) xenc.Run {
+	c.n++
+	r := c.DocView.PageRun(p)
+	return xenc.Run{Size: r.Size[:1], Level: r.Level[:1], Kind: r.Kind[:1], Name: r.Name[:1]}
+}
+
+// pageCountingView counts like countingView but forwards whole page
+// runs: one counted call per run instead of one per tuple.
+type pageCountingView struct{ countingView }
+
+func (c *pageCountingView) PageRun(p xenc.Pre) xenc.Run {
+	c.n++
+	return c.DocView.PageRun(p)
 }
 
 // inspections evaluates e once over a counted wrapping of v under the
@@ -52,7 +68,7 @@ func inspections(tb testing.TB, v xenc.DocView, e *xpath.Expr, seq bool) int64 {
 	if _, err := e.Eval(cv); err != nil {
 		tb.Fatal(err)
 	}
-	return cv.n.Load()
+	return cv.n
 }
 
 // pipelineQueries are the XMark query shapes the refactor targets:
@@ -133,7 +149,7 @@ func TestPipelineInspectionDrop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cv.n.Load(), ns.Pres()
+		return cv.n, ns.Pres()
 	}
 	seqN, seqRes := check(true)
 	perN, perRes := check(false)
@@ -153,4 +169,32 @@ func TestPipelineInspectionDrop(t *testing.T) {
 		t.Fatalf("tuple inspections: per-node %d, seq %d — want a >=5x drop on overlapping regions", perN, seqN)
 	}
 	t.Logf("tuple inspections on //l//k (depth 40): per-node %d, seq %d (%.1fx)", perN, seqN, float64(perN)/float64(seqN))
+}
+
+// TestScanReadsPageRuns pins the column-at-a-time scan: //keyword over a
+// paged store with free space reads the plane one page run at a time, so
+// its counted calls are bounded by the page count plus a small multiple
+// of the result, not by the number of tuples.
+func TestScanReadsPageRuns(t *testing.T) {
+	f := getFixture(t, 0.01)
+	e := xpath.MustParse(`//keyword`)
+	pv := &pageCountingView{countingView{DocView: f.up}}
+	ns, err := e.Select(pv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ns) == 0 {
+		t.Fatal("//keyword found nothing")
+	}
+	if bound := int64(f.up.Pages() + 2*len(ns) + 8); pv.n > bound {
+		t.Fatalf("//keyword made %d counted calls over %d pages and %d results, want <= %d", pv.n, f.up.Pages(), len(ns), bound)
+	}
+	tv := &countingView{DocView: f.up}
+	if _, err := e.Select(tv); err != nil {
+		t.Fatal(err)
+	}
+	if tv.n < int64(f.up.LiveNodes()) {
+		t.Fatalf("1-tuple runs counted %d calls for %d live tuples: the scan skipped the counter", tv.n, f.up.LiveNodes())
+	}
+	t.Logf("//keyword: %d calls with page runs, %d with 1-tuple runs (%d pages, %d live tuples)", pv.n, tv.n, f.up.Pages(), f.up.LiveNodes())
 }
