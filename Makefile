@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json bench-scan lint fuzz server-smoke repl-smoke
+.PHONY: check build vet test race bench bench-json bench-scan bench-served lint fuzz server-smoke repl-smoke
 
 check: build vet race
 
@@ -45,6 +45,13 @@ bench-json:
 # bench-json, which rewrites the file.
 bench-scan:
 	@out="$$(bash perfbench/run.sh --workload scan --seed 1 --seconds 10 --trace 0)" && \
+	echo "$$out" && echo "$$out" >> BENCH_ci.json
+
+# bench-served appends one run of the served workload (two loopback
+# client sessions, prepared reads by $id, 5% XUpdate) the same way, so
+# the artifact carries the session, wire and predicate path's ops_per_s.
+bench-served:
+	@out="$$(bash perfbench/run.sh --workload served --seed 1 --seconds 10 --trace 0)" && \
 	echo "$$out" && echo "$$out" >> BENCH_ci.json
 
 # Formatting + static analysis. staticcheck is optional locally (the CI

@@ -655,12 +655,11 @@ func LoadChunked(m *ChunkManifest, cs chunkstore.Store) (*Store, error) {
 	if err := loadDict(m.Names, func(v string) { s.qn.Intern(v) }); err != nil {
 		return nil, err
 	}
-	if err := loadDict(m.Props, func(v string) {
-		s.prop.ids[v] = int32(len(s.prop.vals))
-		s.prop.vals = append(s.prop.vals, v)
-	}); err != nil {
+	var props []string
+	if err := loadDict(m.Props, func(v string) { props = append(props, v) }); err != nil {
 		return nil, err
 	}
+	s.prop.load(props)
 	if err := s.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: manifest state is corrupt: %w", err)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mxq/internal/serialize"
@@ -161,4 +163,38 @@ func snapshotXML(t *testing.T, v xenc.DocView) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// TestPropDictConcurrentReaders reads attribute values without a lock
+// while a writer appends (the base store and its snapshots share one
+// dictionary); run under -race.
+func TestPropDictConcurrentReaders(t *testing.T) {
+	d := newPropDict()
+	const n = 2000
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seen := 0; seen < n; {
+				seen = d.count()
+				for id := 0; id < seen; id++ {
+					if got := d.get(int32(id)); got != "v"+strconv.Itoa(id) {
+						t.Errorf("get(%d) = %q", id, got)
+						return
+					}
+				}
+				if vals := d.values(); len(vals) < seen {
+					t.Errorf("values has %d entries after count %d", len(vals), seen)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if id := d.put("v" + strconv.Itoa(i)); id != int32(i) {
+			t.Fatalf("put gave %d, want %d", id, i)
+		}
+	}
+	wg.Wait()
 }

@@ -204,10 +204,7 @@ func Load(r io.Reader) (*Store, error) {
 		}
 		s.setAttrs(id, refs)
 	}
-	for i, v := range snap.PropVals {
-		s.prop.vals = append(s.prop.vals, v)
-		s.prop.ids[v] = int32(i)
-	}
+	s.prop.load(snap.PropVals)
 	for _, n := range snap.Names {
 		s.qn.Intern(n)
 	}

@@ -251,13 +251,20 @@ type Store struct {
 // propDict is the attribute-value dictionary. It is append-only and safe
 // for concurrent use: the base store and all its snapshots share one
 // dictionary (ids handed to an aborted snapshot simply go unreferenced).
+// Reads take no lock: every append, made under the mutex, publishes the
+// grown slice through an atomic pointer (the scheme of xenc.QNamePool).
 type propDict struct {
-	mu   sync.RWMutex
-	vals []string
+	mu   sync.Mutex
+	vals []string // guarded by mu
 	ids  map[string]int32
+	pub  atomic.Pointer[[]string] // vals as of the last append
 }
 
-func newPropDict() *propDict { return &propDict{ids: make(map[string]int32)} }
+func newPropDict() *propDict {
+	d := &propDict{ids: make(map[string]int32)}
+	d.pub.Store(new([]string))
+	return d
+}
 
 func (d *propDict) put(s string) int32 {
 	d.mu.Lock()
@@ -268,27 +275,36 @@ func (d *propDict) put(s string) int32 {
 	id := int32(len(d.vals))
 	d.vals = append(d.vals, s)
 	d.ids[s] = id
+	d.publish()
 	return id
 }
 
-func (d *propDict) get(id int32) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.vals[id]
+// load appends image entries verbatim, keeping their positions as ids
+// (the attribute table references them by position).
+func (d *propDict) load(vals []string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, v := range vals {
+		d.ids[v] = int32(len(d.vals))
+		d.vals = append(d.vals, v)
+	}
+	d.publish()
 }
 
-// count returns the number of dictionary entries.
-func (d *propDict) count() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.vals)
+// publish hands readers the current entries; d.mu must be held.
+func (d *propDict) publish() {
+	vals := d.vals
+	d.pub.Store(&vals)
 }
+
+func (d *propDict) get(id int32) string { return (*d.pub.Load())[id] }
+
+// count returns the number of dictionary entries.
+func (d *propDict) count() int { return len(*d.pub.Load()) }
 
 // values returns a point-in-time copy of the dictionary contents.
 func (d *propDict) values() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]string(nil), d.vals...)
+	return append([]string(nil), *d.pub.Load()...)
 }
 
 // Build shreds a tree into a fresh paged store. Each page receives at

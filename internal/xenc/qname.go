@@ -1,6 +1,9 @@
 package xenc
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // QNamePool interns qualified names (the paper's qn table, Figure 5).
 // Elements and attributes reference names by dense integer id, which is
@@ -13,16 +16,24 @@ import "sync"
 // unreferenced, which is harmless (ids are only meaningful through the
 // column data that references them).
 //
+// Resolving an id takes no lock: every append, made under the mutex,
+// publishes the grown slice through an atomic pointer, and readers index
+// the last published slice. Appends only write past the published
+// length, so a reader never sees an element change under it.
+//
 // The zero value is not ready for use; call NewQNamePool.
 type QNamePool struct {
 	mu    sync.RWMutex
-	names []string
+	names []string // guarded by mu
 	ids   map[string]int32
+	pub   atomic.Pointer[[]string] // names as of the last append
 }
 
 // NewQNamePool returns an empty pool.
 func NewQNamePool() *QNamePool {
-	return &QNamePool{ids: make(map[string]int32)}
+	q := &QNamePool{ids: make(map[string]int32)}
+	q.pub.Store(new([]string))
+	return q
 }
 
 // Intern returns the id for name, adding it to the pool if new.
@@ -35,6 +46,8 @@ func (q *QNamePool) Intern(name string) int32 {
 	id := int32(len(q.names))
 	q.names = append(q.names, name)
 	q.ids[name] = id
+	names := q.names
+	q.pub.Store(&names)
 	return id
 }
 
@@ -52,22 +65,16 @@ func (q *QNamePool) Name(id int32) string {
 	if id == NoName {
 		return ""
 	}
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return q.names[id]
+	return (*q.pub.Load())[id]
 }
 
 // Len returns the number of interned names.
 func (q *QNamePool) Len() int {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return len(q.names)
+	return len(*q.pub.Load())
 }
 
 // NamesList returns a point-in-time copy of all interned names in id
 // order (used by checkpointing).
 func (q *QNamePool) NamesList() []string {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return append([]string(nil), q.names...)
+	return append([]string(nil), *q.pub.Load()...)
 }

@@ -1,6 +1,10 @@
 package xenc
 
-import "testing"
+import (
+	"strconv"
+	"sync"
+	"testing"
+)
 
 // fakeView is a minimal DocView over explicit size/level columns, used to
 // unit-test the free-run helpers without a concrete store.
@@ -123,4 +127,39 @@ func TestQNamePool(t *testing.T) {
 	if got := q.NamesList(); len(got) != 2 || got[0] != "item" || got[1] != "person" {
 		t.Fatalf("NamesList = %v", got)
 	}
+}
+
+// TestQNamePoolConcurrentReaders resolves ids without a lock while a
+// writer interns: every id a reader can see must name its string (run
+// under -race, this also checks that the published slice is never
+// written where readers index it).
+func TestQNamePoolConcurrentReaders(t *testing.T) {
+	q := NewQNamePool()
+	const n = 2000
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seen := 0; seen < n; {
+				seen = q.Len()
+				for id := 0; id < seen; id++ {
+					if got := q.Name(int32(id)); got != "n"+strconv.Itoa(id) {
+						t.Errorf("Name(%d) = %q", id, got)
+						return
+					}
+				}
+				if l := q.NamesList(); len(l) < seen {
+					t.Errorf("NamesList has %d names after Len %d", len(l), seen)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if id := q.Intern("n" + strconv.Itoa(i)); id != int32(i) {
+			t.Fatalf("Intern gave %d, want %d", id, i)
+		}
+	}
+	wg.Wait()
 }

@@ -16,6 +16,11 @@ package xpath
 //   - predicates that never consult position() or last() and cannot
 //     evaluate to a number are applied over the merged result sequence
 //     with one reusable scratch context (seqPreds);
+//   - among those, a predicate of the shape [P], [P cmp e] or [e cmp P]
+//     — P a relative path over downward axes, e a literal or a variable
+//     — is a semi-join predicate (semiJoinOf): when the candidates do
+//     not nest, P runs once over all of them and each result is
+//     credited to the candidate that contains it;
 //   - everything else (last(), position() on reverse axes, numerically
 //     typed or statically untypable predicates) keeps the node-at-a-time
 //     path (opPerNode), whose per-context numbering defines their
@@ -133,17 +138,95 @@ func classifyStep(st step) planStep {
 	if k, ok := posLiteral(st.preds[0]); ok && !st.axis.Reverse() && allSeqSafe(st.preds[1:]) {
 		ps.kind = opFusedPos
 		ps.pos = k
-		ps.seqPreds = st.preds[1:]
+		ps.setSeqPreds(st.preds[1:])
 		return ps
 	}
 	if seq, dyn := classifyPreds(st.preds); seq {
 		ps.kind = opSeq
-		ps.seqPreds = st.preds
+		ps.setSeqPreds(st.preds)
 		ps.dyn = dyn
 		return ps
 	}
 	ps.kind = opPerNode
 	return ps
+}
+
+// setSeqPreds records the sequence predicates and which of them run as
+// semi-joins.
+func (ps *planStep) setSeqPreds(preds []expr) {
+	ps.seqPreds = preds
+	ps.semi = make([]*semiJoin, len(preds))
+	for i, p := range preds {
+		ps.semi[i] = semiJoinOf(p)
+	}
+}
+
+// semiJoinOf classifies a sequence predicate as a semi-join predicate,
+// or returns nil. The shapes are [P], [P cmp e] and [e cmp P]: P is a
+// relative location path whose steps all use downward axes (child,
+// descendant, descendant-or-self, self, attribute; they may carry
+// predicates of their own), cmp is one of = != < <= > >=, and e is a
+// literal, true(), false() or a variable reference — a value that does
+// not depend on the candidate, so it is evaluated once. Over candidates
+// that do not nest, every result of P lies in exactly one candidate's
+// subtree, so P evaluated once over all candidates yields each
+// candidate's own results (see semiJoin.filter).
+func semiJoinOf(pred expr) *semiJoin {
+	switch x := pred.(type) {
+	case *pathExpr:
+		if downwardPath(x) {
+			return newSemiJoin(x, "", nil, false)
+		}
+	case *binaryExpr:
+		switch x.op {
+		case "=", "!=", "<", "<=", ">", ">=":
+		default:
+			return nil
+		}
+		if p, ok := x.l.(*pathExpr); ok && downwardPath(p) && constOperand(x.r) {
+			return newSemiJoin(p, x.op, x.r, false)
+		}
+		if p, ok := x.r.(*pathExpr); ok && downwardPath(p) && constOperand(x.l) {
+			return newSemiJoin(p, x.op, x.l, true)
+		}
+	}
+	return nil
+}
+
+func newSemiJoin(p *pathExpr, op string, val expr, valLeft bool) *semiJoin {
+	st := &p.steps[0]
+	attr := len(p.steps) == 1 && st.axis == AxisAttribute && st.tk == testName &&
+		st.name != "" && len(st.preds) == 0
+	return &semiJoin{path: p, op: op, val: val, valLeft: valLeft, attr: attr}
+}
+
+// downwardPath reports whether p is a relative location path that only
+// moves down from its context: its results lie in the context node's
+// subtree (or are its attributes).
+func downwardPath(p *pathExpr) bool {
+	if p.start != nil || p.absolute || len(p.steps) == 0 {
+		return false
+	}
+	for i := range p.steps {
+		switch p.steps[i].axis {
+		case AxisChild, AxisDescendant, AxisDescendantOrSelf, AxisSelf, AxisAttribute:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// constOperand reports whether e evaluates to the same value in every
+// context: a literal, true(), false() or a variable reference.
+func constOperand(e expr) bool {
+	switch x := e.(type) {
+	case numberLit, stringLit, varRef:
+		return true
+	case *funcCall:
+		return len(x.args) == 0 && (x.name == "true" || x.name == "false")
+	}
+	return false
 }
 
 // classifyPreds reports whether every predicate can be applied over the

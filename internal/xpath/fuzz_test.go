@@ -125,6 +125,14 @@ func FuzzXPathEval(f *testing.F) {
 		`//processing-instruction("tgt")`, `//kw/preceding::name`,
 		`//kw/following::*`, `//listitem/following-sibling::kw`,
 		`//kw/preceding-sibling::*`, `//desc/descendant-or-self::node()/kw`,
+		// Semi-join predicates over candidates that do not nest, and the
+		// per-candidate fallback over nested or mixed-level candidates.
+		`//person[@id = $who]`, `//person[$who = @id]`, `//person[@id != "p1"]`,
+		`//person[@nope = $who]`, `//person[income > 10]`,
+		`//open_auction[bidder/increase = 25]`, `//item[desc//kw]`,
+		`//person[watches = false()]`, `//person[@id = $ns]`,
+		`//person[name = $ns]`, `//person[watches != $t]`,
+		`//listitem[.//kw]`, `//*[@id]`, `//*[kw]`, `//*[@id = "i1"]/name`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -142,7 +150,15 @@ func FuzzXPathEval(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	vars := map[string]Value{"who": String("p1"), "x": Number(2)}
+	// $ns binds a node-set, whose pre ranks are store-specific.
+	varsOf := func(v xenc.DocView) map[string]Value {
+		ns, err := MustParse(`//name`).Select(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return map[string]Value{"who": String("p1"), "x": Number(2), "t": Boolean(true), "ns": ns}
+	}
+	vars, oracleVars := varsOf(paged), varsOf(oracle)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 2048 {
@@ -160,7 +176,7 @@ func FuzzXPathEval(f *testing.F) {
 		}
 		prev := SetPlanEnabled(false)
 		perNode, errPer := fuzzFingerprint(paged, expr, vars)
-		dense, errNaive := fuzzFingerprint(oracle, expr, vars)
+		dense, errNaive := fuzzFingerprint(oracle, expr, oracleVars)
 		SetPlanEnabled(prev)
 		if (errPlan == nil) != (errPer == nil) || (errPlan == nil) != (errNaive == nil) {
 			t.Fatalf("%q: error disagreement: plan=%v per-node=%v naive=%v",

@@ -18,6 +18,7 @@ package xpath
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -65,10 +66,11 @@ const (
 type planStep struct {
 	st       step // axis, node test, and the original predicate list
 	kind     stepKind
-	pos      int    // the fused positional predicate (kind == opFusedPos)
-	seqPreds []expr // position-free predicates applied over the sequence
-	fused    bool   // collapsed from descendant-or-self::node()/...
-	dyn      bool   // some seqPred is untypable: numeric fallback may fire
+	pos      int         // the fused positional predicate (kind == opFusedPos)
+	seqPreds []expr      // position-free predicates applied over the sequence
+	semi     []*semiJoin // per seqPred: its semi-join form, or nil
+	fused    bool        // collapsed from descendant-or-self::node()/...
+	dyn      bool        // some seqPred is untypable: numeric fallback may fire
 }
 
 // pathPlan is the compiled pipeline for one location path.
@@ -95,6 +97,20 @@ func (sc seqCtx) empty() bool {
 	return len(sc.nodes) == 0
 }
 
+func (sc seqCtx) len() int {
+	if sc.pure {
+		return len(sc.pres)
+	}
+	return len(sc.nodes)
+}
+
+func (sc seqCtx) at(i int) Node {
+	if sc.pure {
+		return ElemNode(sc.pres[i])
+	}
+	return sc.nodes[i]
+}
+
 func (sc seqCtx) nodeSet() NodeSet {
 	if !sc.pure {
 		return sc.nodes
@@ -110,18 +126,26 @@ func (pl *pathPlan) run(c *context, ctx NodeSet) (NodeSet, error) {
 		// requires ascending duplicate-free input.
 		ctx = sortDedupe(append(NodeSet{}, ctx...))
 	}
-	sc := seqCtx{nodes: ctx}
+	sc, err := pl.pipe(c, seqCtx{nodes: ctx})
+	if err != nil {
+		return nil, err
+	}
+	return sc.nodeSet(), nil
+}
+
+// pipe runs the steps over an ordered context sequence.
+func (pl *pathPlan) pipe(c *context, sc seqCtx) (seqCtx, error) {
 	var err error
 	for i := range pl.steps {
 		sc, err = pl.steps[i].apply(c, sc)
 		if err != nil {
-			return nil, err
+			return seqCtx{}, err
 		}
 		if sc.empty() {
-			return NodeSet{}, nil
+			return seqCtx{pure: true}, nil
 		}
 	}
-	return sc.nodeSet(), nil
+	return sc, nil
 }
 
 // apply evaluates one compiled step over the whole context sequence.
@@ -222,9 +246,17 @@ func (ps *planStep) treeSeq(c *context, pres []xenc.Pre, fromDoc bool) (seqCtx, 
 		}
 	}
 	if !withDoc {
+		// Filtering keeps a subset, so candidates that do not nest
+		// before the first predicate do not nest before any later one.
+		flat := ps.hasSemiJoin() && !nested(v, cands)
 		var err error
-		for _, pred := range ps.seqPreds {
-			if cands, err = filterPres(c, cands, pred, ps.dyn); err != nil {
+		for i, pred := range ps.seqPreds {
+			if sj := ps.semi[i]; sj != nil && flat {
+				cands, err = sj.filter(c, cands)
+			} else {
+				cands, err = filterPres(c, cands, pred, ps.dyn)
+			}
+			if err != nil {
 				return seqCtx{}, err
 			}
 		}
@@ -265,6 +297,161 @@ func filterPres(c *context, pres []xenc.Pre, pred expr, dyn bool) ([]xenc.Pre, e
 		}
 	}
 	return pres[:w], nil
+}
+
+func (ps *planStep) hasSemiJoin() bool {
+	for _, sj := range ps.semi {
+		if sj != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// semiJoin is a step predicate [P], [P cmp e] or [e cmp P] evaluated
+// set-at-a-time (classified by semiJoinOf): over candidates that do not
+// nest, P runs once with all of them as its context, and each result r
+// belongs to the greatest candidate at or before r.Pre — the one whose
+// subtree holds r (for an attribute, its element). This is loop lifting
+// in its simplest case: without nesting, a result's containing candidate
+// is its iteration.
+type semiJoin struct {
+	path    *pathExpr // P
+	op      string    // cmp, or "" for the existence test [P]
+	val     expr      // e (nil for [P])
+	valLeft bool      // e is the left operand
+	// attr marks P = attribute::name with no predicates: the candidates'
+	// attribute values are read directly, without materializing
+	// attribute nodes.
+	attr bool
+}
+
+// filter keeps the candidates the predicate holds for, compacting cands
+// in place. A candidate holds when one of its results passes compare
+// against e; when e is a boolean, XPath 1.0 compares boolean(results)
+// with it instead, so [P = false()] keeps the candidates without
+// results.
+func (sj *semiJoin) filter(c *context, cands []xenc.Pre) ([]xenc.Pre, error) {
+	if len(cands) == 0 {
+		return cands, nil
+	}
+	v := c.view
+	var val Value
+	if sj.val != nil {
+		var err error
+		if val, err = sj.val.eval(c); err != nil {
+			return nil, err
+		}
+	}
+	// byValue: a candidate holds when some result's string-value passes
+	// the comparison; otherwise only whether it has results matters.
+	_, isBool := val.(Boolean)
+	byValue := sj.val != nil && !isBool
+	verdict := func(has, passed bool) bool {
+		switch {
+		case byValue:
+			return passed
+		case isBool:
+			return sj.holds(v, Boolean(has), val)
+		}
+		return has
+	}
+	w := 0
+	if sj.attr {
+		id, named := v.Names().Lookup(sj.path.steps[0].name)
+		for _, p := range cands {
+			s, has := "", false
+			if named {
+				s, has = v.AttrValue(p, id)
+			}
+			if verdict(has, byValue && has && sj.holds(v, String(s), val)) {
+				cands[w] = p
+				w++
+			}
+		}
+		return cands[:w], nil
+	}
+	res, err := sj.path.plan.pipe(c, seqCtx{pure: true, pres: cands})
+	if err != nil {
+		return nil, err
+	}
+	r, n := 0, res.len()
+	for j, p := range cands {
+		// The candidate's results run up to the next candidate.
+		end := xenc.Pre(math.MaxInt32)
+		if j+1 < len(cands) {
+			end = cands[j+1]
+		}
+		has, passed := false, false
+		for ; r < n; r++ {
+			node := res.at(r)
+			if node.Pre >= end {
+				break
+			}
+			has = true
+			if byValue && !passed {
+				passed = sj.holds(v, String(StringValue(v, node)), val)
+			}
+		}
+		if verdict(has, passed) {
+			cands[w] = p
+			w++
+		}
+	}
+	return cands[:w], nil
+}
+
+// holds compares one result-side value x with e in source operand order.
+func (sj *semiJoin) holds(v xenc.DocView, x, val Value) bool {
+	if sj.valLeft {
+		return compare(v, sj.op, val, x)
+	}
+	return compare(v, sj.op, x, val)
+}
+
+// nested reports whether an ascending pre sequence holds a node and one
+// of its descendants. Consecutive pairs suffice: if c_i is an ancestor
+// of c_j, then c_{i+1} lies in c_i's region too. A pair whose level does
+// not rise cannot nest; a rising pair nests iff no live tuple between
+// the two climbs back to the first node's level. The levels are read
+// from page runs, which candidates close together share.
+func nested(v xenc.DocView, pres []xenc.Pre) bool {
+	var run xenc.Run
+	start := xenc.Pre(0)
+	level := func(p xenc.Pre) xenc.Level {
+		if p < start || p-start >= xenc.Pre(len(run.Level)) {
+			run, start = v.PageRun(p), p
+		}
+		return run.Level[p-start]
+	}
+	for i := 1; i < len(pres); i++ {
+		a, b := pres[i-1], pres[i]
+		la := level(a)
+		if level(b) > la && inRegion(v, a, la, b) {
+			return true
+		}
+	}
+	return false
+}
+
+// inRegion reports whether b > a lies in the region of a (at level la).
+// It hops over the subtrees of deeper nodes between them: a hop of
+// size+1 from a live node never leaves that node's region, whose span
+// is at least its live descendant count.
+func inRegion(v xenc.DocView, a xenc.Pre, la xenc.Level, b xenc.Pre) bool {
+	for p := a + 1; p < b; {
+		r := v.PageRun(p)
+		n := min(xenc.Pre(len(r.Level)), b-p)
+		i := xenc.Pre(0)
+		for i < n {
+			if l := r.Level[i]; l != xenc.LevelUnused && l <= la {
+				return false
+			}
+			i += r.Size[i] + 1
+		}
+		p += i
+	}
+	return true
 }
 
 // attrSeq runs the attribute axis over an ascending element sequence.
@@ -483,9 +670,7 @@ func (ps *planStep) mode() string {
 		if ps.fused {
 			s += " (fused //)"
 		}
-		if len(ps.seqPreds) > 0 {
-			s += fmt.Sprintf(", %d seq filter(s)", len(ps.seqPreds))
-		}
+		s += ps.filters()
 		if ps.dyn {
 			s += " (dyn: numeric falls back per-node)"
 		}
@@ -495,13 +680,31 @@ func (ps *planStep) mode() string {
 		if ps.fused {
 			s += " (fused //)"
 		}
-		if len(ps.seqPreds) > 0 {
-			s += fmt.Sprintf(", %d seq filter(s)", len(ps.seqPreds))
-		}
-		return s
+		return s + ps.filters()
 	default:
 		return "per-node"
 	}
+}
+
+// filters renders the sequence predicates and the strategy of each: a
+// semi-join (falling back per candidate when the candidates nest), the
+// attribute-value semi-join, or a per-candidate evaluation.
+func (ps *planStep) filters() string {
+	if len(ps.seqPreds) == 0 {
+		return ""
+	}
+	modes := make([]string, len(ps.seqPreds))
+	for i, sj := range ps.semi {
+		switch {
+		case sj == nil:
+			modes[i] = "per-candidate"
+		case sj.attr:
+			modes[i] = "semi-join (attr)"
+		default:
+			modes[i] = "semi-join"
+		}
+	}
+	return fmt.Sprintf(", %d seq filter(s): %s", len(ps.seqPreds), strings.Join(modes, ", "))
 }
 
 func explainExpr(b *strings.Builder, e expr, depth int) {

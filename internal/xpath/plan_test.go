@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mxq/internal/core"
+	"mxq/internal/naive"
 	"mxq/internal/rostore"
 	"mxq/internal/shred"
 	"mxq/internal/xenc"
@@ -114,6 +115,35 @@ var planQueries = []string{
 	`//watches[$x]`,
 	`//bidder[$x]/increase/text()`,
 	`//person[watches/watch[$x]]/@id`,
+	// Semi-join predicates over candidates that do not nest: the
+	// attribute operator, both operand orders, absent names, values,
+	// multi-step and descendant paths, and the boolean rule.
+	`//person[@id = $who]/name/text()`,
+	`//person[$who = @id]/name/text()`,
+	`//person[@id != "p1"]/@id`,
+	`//person[@nope = $who]`,
+	`//person[@nope != $who]`,
+	`//person[income > 10]/@id`,
+	`//person[10 < income]/@id`,
+	`//open_auction[bidder/increase = 25]`,
+	`//item[desc//kw]/@id`,
+	`//item[desc//kw = "only"]/@id`,
+	`//person[watches = false()]/@id`,
+	`//person[watches != false()]/@id`,
+	`//person[@id = $ns]`,
+	`//person[name = $ns]`,
+	`//person[@id = $t]/@id`,
+	`//person[. = "cy7"]/@id`,
+	`//person[@id]/name[. = "ada"]`,
+	`/site/people/person[@id = "p2"]/income/text()`,
+	// Nested candidates fall back per candidate; mixed levels may or
+	// may not nest.
+	`//listitem[.//kw]`,
+	`//listitem[kw = "mid"]`,
+	`//*[@id]`,
+	`//*[kw]`,
+	`//*[@id = "i1"]`,
+	`//name[text()] | //kw[text() = "top"]`,
 }
 
 // buildPlanStores shreds planDoc into the read-only store and a paged
@@ -137,8 +167,8 @@ func buildPlanStores(tb testing.TB) (xenc.DocView, xenc.DocView) {
 }
 
 // planVars builds the variable bindings the battery references: a
-// string, a number (exercising the dynamic numeric fallback), and a
-// node-set bound from the given view (store-specific pre ranks). The
+// string, a number (exercising the dynamic numeric fallback), a boolean,
+// and a node-set bound from the given view (store-specific pre ranks). The
 // node-set is shared across queries, so a filter that destructively
 // consumed it instead of copying would poison later queries.
 func planVars(tb testing.TB, v xenc.DocView) map[string]Value {
@@ -147,7 +177,7 @@ func planVars(tb testing.TB, v xenc.DocView) map[string]Value {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return map[string]Value{"who": String("p1"), "x": Number(2), "ns": ns}
+	return map[string]Value{"who": String("p1"), "x": Number(2), "ns": ns, "t": Boolean(true)}
 }
 
 // resultKey renders a value into a store-independent comparable form.
@@ -178,14 +208,27 @@ func resultKey(v xenc.DocView, val Value) string {
 
 // TestPlanMatchesPerNode is the engine-level differential: every query
 // must produce bit-identical results through the compiled pipeline and
-// through the node-at-a-time interpreter, on both storage schemas.
+// through the node-at-a-time interpreter, on both storage schemas, and
+// the interpreter on the naive dense oracle must agree with both.
 func TestPlanMatchesPerNode(t *testing.T) {
 	ro, up := buildPlanStores(t)
+	tr, err := shred.Parse(strings.NewReader(planDoc), shred.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := naive.Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleVars := planVars(t, oracle)
 	for _, q := range planQueries {
 		e, err := Parse(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+		prev := SetPlanEnabled(false)
+		oracleVal, oracleErr := e.EvalVars(oracle, oracleVars)
+		SetPlanEnabled(prev)
 		for _, view := range []struct {
 			name string
 			v    xenc.DocView
@@ -195,8 +238,8 @@ func TestPlanMatchesPerNode(t *testing.T) {
 			prev := SetPlanEnabled(false)
 			perVal, perErr := e.EvalVars(view.v, vars)
 			SetPlanEnabled(prev)
-			if (seqErr == nil) != (perErr == nil) {
-				t.Fatalf("%s on %s: plan err %v, per-node err %v", q, view.name, seqErr, perErr)
+			if (seqErr == nil) != (perErr == nil) || (seqErr == nil) != (oracleErr == nil) {
+				t.Fatalf("%s on %s: plan err %v, per-node err %v, naive err %v", q, view.name, seqErr, perErr, oracleErr)
 			}
 			if seqErr != nil {
 				continue
@@ -204,6 +247,9 @@ func TestPlanMatchesPerNode(t *testing.T) {
 			got, want := resultKey(view.v, seqVal), resultKey(view.v, perVal)
 			if got != want {
 				t.Errorf("%s on %s diverged\nplan:     %s\nper-node: %s", q, view.name, got, want)
+			}
+			if dense := resultKey(oracle, oracleVal); got != dense {
+				t.Errorf("%s on %s diverged from the naive oracle\nplan:  %s\nnaive: %s", q, view.name, got, dense)
 			}
 		}
 	}
@@ -287,6 +333,90 @@ func TestCompileClassification(t *testing.T) {
 	if typed.plan.steps[0].dyn {
 		t.Errorf("//person[income]: fused step marked dyn")
 	}
+
+	// Semi-join predicates: [P], [P cmp e], [e cmp P] with P a relative
+	// downward path and e a literal, true()/false() or a variable. The
+	// last step's last sequence predicate is classified.
+	semi := []struct {
+		q             string
+		semi, attr    bool
+		valLeft       bool
+		wantStepCount int
+	}{
+		{`//person[@id = $who]`, true, true, false, 1},
+		{`//person[$who = @id]`, true, true, true, 1},
+		{`//person[@id]`, true, true, false, 1},
+		{`/site/people/person[@id != "p1"]`, true, true, false, 3},
+		{`//person[income > 10]`, true, false, false, 1},
+		{`//person[10 < income]`, true, false, true, 1},
+		{`//item[desc//kw]`, true, false, false, 1},
+		{`//open_auction[bidder/increase = 25]`, true, false, false, 1},
+		{`//person[watches = false()]`, true, false, false, 1},
+		{`//person[. = "x"]`, true, false, false, 1},
+		{`//person[@*]`, true, false, false, 1},            // not a named attribute
+		{`//person[@id[. = "p1"]]`, true, false, false, 1}, // the step has predicates
+		{`//person[1][@id = "p1"]`, true, true, false, 2},  // behind a fused position
+		// Not semi-joins: upward or absolute paths, rooted paths, two
+		// paths, computed values, functions over the path.
+		{`//person[../people]`, false, false, false, 1},
+		{`//person[/site]`, false, false, false, 1},
+		{`//person[$ns/name]`, false, false, false, 1},
+		{`//person[name = income]`, false, false, false, 1},
+		{`//person[@id = concat("p", "1")]`, false, false, false, 1},
+		{`//person[contains(@id, "p")]`, false, false, false, 1},
+		{`//person[income + 1 = 2]`, false, false, false, 1},
+		{`//person[not(@id)]`, false, false, false, 1},
+	}
+	for _, tc := range semi {
+		pe := MustParse(tc.q).root.(*pathExpr)
+		if len(pe.plan.steps) != tc.wantStepCount {
+			t.Fatalf("%s: %d plan steps, want %d", tc.q, len(pe.plan.steps), tc.wantStepCount)
+		}
+		ps := &pe.plan.steps[len(pe.plan.steps)-1]
+		if len(ps.semi) != len(ps.seqPreds) || len(ps.semi) == 0 {
+			t.Fatalf("%s: %d semi marks for %d seq preds", tc.q, len(ps.semi), len(ps.seqPreds))
+		}
+		sj := ps.semi[len(ps.semi)-1]
+		if (sj != nil) != tc.semi {
+			t.Errorf("%s: semi-join=%v, want %v", tc.q, sj != nil, tc.semi)
+			continue
+		}
+		if sj != nil && (sj.attr != tc.attr || sj.valLeft != tc.valLeft) {
+			t.Errorf("%s: attr=%v valLeft=%v, want %v %v", tc.q, sj.attr, sj.valLeft, tc.attr, tc.valLeft)
+		}
+	}
+}
+
+// TestNestedCandidates pins the semi-join's nesting check on sequences
+// with and without an ancestor/descendant pair, including rising pairs
+// that do not nest (//kw: "top" in one item, "only" in the next) and
+// nested pairs that are not adjacent in pre order (//listitem), on
+// dense columns, on pages with free runs and on 1-tuple runs.
+func TestNestedCandidates(t *testing.T) {
+	ro, up := buildPlanStores(t)
+	cases := map[string]bool{
+		`//person`:        false,
+		`//item`:          false,
+		`//kw`:            false,
+		`//name | //kw`:   false,
+		`//listitem`:      true,
+		`//*`:             true,
+		`//item | //kw`:   true,
+		`//desc | //kw`:   true,
+		`//parlist/..`:    true,
+		`//person/@id/..`: false,
+	}
+	for name, v := range map[string]xenc.DocView{"ro": ro, "up": up, "units": unitRuns{up}} {
+		for q, want := range cases {
+			ns, err := MustParse(q).Select(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := nested(v, ns.Pres()); got != want {
+				t.Errorf("[%s] nested(%s) = %v, want %v", name, q, got, want)
+			}
+		}
+	}
 }
 
 // TestExplain pins the rendering the shell's explain command shows.
@@ -326,6 +456,20 @@ func TestExplain(t *testing.T) {
 	out = MustParse(`(//item)[position() = 2]`).Explain()
 	if !strings.Contains(out, "filter [(position() = 2)]: per-node (positional)") {
 		t.Errorf("Explain missing positional filter line:\n%s", out)
+	}
+	// Each sequence predicate names its strategy.
+	for q, want := range map[string]string{
+		`//person[@id = $id]/name`:             "1 seq filter(s): semi-join (attr)",
+		`//item[description//keyword]`:         "1 seq filter(s): semi-join",
+		`//person[watches = false()]`:          "1 seq filter(s): semi-join",
+		`//person[contains(name, "a")]`:        "1 seq filter(s): per-candidate",
+		`//item[payment][not(mailbox)]`:        "2 seq filter(s): semi-join, per-candidate",
+		`//bidder[1][increase > 10]/increase`:  "early-exit pos=1, 1 seq filter(s): semi-join",
+		`/site/people/person[@id = "p1"]/name`: "seq, 1 seq filter(s): semi-join (attr)",
+	} {
+		if out := MustParse(q).Explain(); !strings.Contains(out, want) {
+			t.Errorf("Explain(%s) missing %q:\n%s", q, want, out)
+		}
 	}
 	// A dynamic step predicate advertises its runtime fallback.
 	out = MustParse(`//watch[$n]`).Explain()

@@ -213,7 +213,13 @@ func FormatNumber(f float64) string {
 func compare(v xenc.DocView, op string, l, r Value) bool {
 	ln, lok := l.(NodeSet)
 	rn, rok := r.(NodeSet)
+	_, lb := l.(Boolean)
+	_, rb := r.(Boolean)
 	switch {
+	case lok && rb || rok && lb:
+		// A node-set meets a boolean as boolean(node-set), not node by
+		// node (XPath 1.0 §3.4).
+		return compare(v, op, Boolean(BoolOf(l)), Boolean(BoolOf(r)))
 	case lok && rok:
 		for _, a := range ln {
 			sa := StringValue(v, a)

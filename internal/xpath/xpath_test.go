@@ -212,6 +212,59 @@ func TestBooleansAndComparisons(t *testing.T) {
 	}
 }
 
+// TestNodeSetBooleanComparison pins XPath 1.0 §3.4: a node-set compared
+// with a boolean compares boolean(node-set), not each node's
+// string-value. The expected values come from the spec, not from another
+// evaluator (the oracle stores share this one).
+func TestNodeSetBooleanComparison(t *testing.T) {
+	tr, err := shred.Parse(strings.NewReader(`<r><p><i></i></p><p><i>x</i></p><p/></r>`), shred.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := rostore.Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := core.Build(tr, core.Options{PageSize: 8, FillFactor: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		q    string
+		want string
+	}{
+		{`//p/i = false()`, "false"}, // the node-set is non-empty
+		{`//p/i = true()`, "true"},
+		{`//p/i != true()`, "false"},
+		{`false() = //p/i`, "false"},
+		{`//nothing = false()`, "true"}, // empty node-set is false
+		{`//nothing != true()`, "true"},
+		{`true() = //nothing`, "false"},
+		{`//p/i < true()`, "false"}, // 1 < 1 after number(boolean())
+		{`//nothing < true()`, "true"},
+		{`count(//p[i = true()])`, "2"},
+		{`count(//p[i = false()])`, "1"},
+		{`count(//p[$t = i])`, "2"},
+		{`count(//p[i != $t])`, "1"},
+	}
+	vars := map[string]Value{"t": Boolean(true)}
+	for name, v := range map[string]xenc.DocView{"ro": ro, "up": up} {
+		for _, plan := range []bool{true, false} {
+			prev := SetPlanEnabled(plan)
+			for _, c := range cases {
+				val, err := MustParse(c.q).EvalVars(v, vars)
+				if err != nil {
+					t.Fatalf("%s: %v", c.q, err)
+				}
+				if got := StringOf(v, val); got != c.want {
+					t.Errorf("[%s plan=%v] %s = %s, want %s", name, plan, c.q, got, c.want)
+				}
+			}
+			SetPlanEnabled(prev)
+		}
+	}
+}
+
 func TestVariables(t *testing.T) {
 	for name, v := range views(t) {
 		e := MustParse(`//person[@id = $who]/name`)
